@@ -5,23 +5,26 @@
 //! # Shape
 //!
 //! ```text
-//!              route(alert)                 close_window()
-//!                   │                             │
-//!                   ▼                             ▼
-//!            ┌─────────────┐   WindowDelta  ┌───────────────┐
-//!  WAL ◀──── │  RangeMap    │ ◀──per node───│  coordinator:  │
-//!  append    │  node_of(id) │               │  merge_all +   │
-//!            └──────┬──────┘                │  from_delta    │
-//!                   ▼                       └──────┬────────┘
-//!          node 0 .. node N-1                      ▼
-//!          (Ingestd daemons,            GovernanceSnapshot
-//!           defer_emerging)             (+ single AO-LDA pass)
+//!              route(alert)                      close_window()
+//!                   │                                  │
+//!                   ▼                                  ▼
+//!            ┌─────────────┐  1. begin_close    ┌──────────────┐
+//!  WAL ◀──── │  RangeMap   │    on every node   │ coordinator: │
+//!  append    │ node_of(id) │  ┌──────────────── │ merge_all +  │
+//!            └──────┬──────┘  │  ┌────────────▶ │ from_delta   │
+//!                   ▼         ▼  │ 2. wait each └──────┬───────┘
+//!          node 0 .. node N-1 ───┘ WindowDelta,        ▼
+//!          (Ingestd daemons,       node order   GovernanceSnapshot
+//!           closing in parallel,               (+ single AO-LDA pass,
+//!           defer_emerging)                     QoA update, WAL seal)
 //! ```
 //!
 //! Each node is a full [`alertops_ingestd::Ingestd`] daemon over the
 //! contiguous strategy range the [`RangeMap`](crate::RangeMap) assigns
-//! it. The cluster is the coordinator one level up: it collects each
-//! node's [`WindowDelta`] at window close and merges them with the
+//! it. The cluster is the coordinator one level up, with the daemon
+//! coordinator's broadcast-then-collect shape: at window close it
+//! starts every alive node's close, then collects each node's
+//! [`WindowDelta`] in node order and merges them with the
 //! same commutative-monoid merge the daemon uses across shards — so a
 //! 4-node cluster, a 1-node cluster, and the batch governor publish
 //! byte-identical snapshots over the same stream.
@@ -82,7 +85,7 @@ use alertops_core::{
     EmergingMode, GovernanceSnapshot, OnlineQoaModel, QoaCheckpoint, QoaMode, StreamingGovernor,
     WindowDelta,
 };
-use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle};
+use alertops_ingestd::{shard_catalog, Ingestd, IngestdConfig, IngestdHandle, PendingClose};
 use alertops_model::{Alert, AlertStrategy, QoaLabel, StrategyId};
 use alertops_react::EmergingAlertDetector;
 use alertops_wire::{Frame, WireDecoder, WireEncoder};
@@ -194,7 +197,7 @@ pub struct HandoffReport {
 pub struct ClusterCounters {
     /// Alerts accepted at the cluster edge (quarantined included).
     pub ingested: u64,
-    /// Alerts folded into published window closes.
+    /// Alerts folded into window closes and sealed in their node's WAL.
     pub delivered: u64,
     /// Alerts lost: node overflow shedding plus WAL truncation losses.
     pub dropped: u64,
@@ -464,16 +467,18 @@ impl AlertCluster {
         Ok(())
     }
 
-    /// Closes the cluster window: every alive node closes and returns
-    /// its [`WindowDelta`]; the deltas merge through the commutative
-    /// monoid into one [`GovernanceSnapshot`] (the same merge a single
-    /// daemon applies across its shards — cluster == 1-node == batch,
-    /// byte for byte); the cluster's single AO-LDA pass runs over the
-    /// merged window documents; and each alive node's WAL is sealed at
-    /// this sequence number. Dead nodes contribute nothing this window
-    /// — their shards are listed in the snapshot's `degraded` (flat
-    /// `node * shards + shard` encoding) and their journaled alerts
-    /// stay in flight.
+    /// Closes the cluster window: every alive node is told to close
+    /// before the coordinator waits on any of them, so the nodes close
+    /// concurrently instead of one after another (with a core per node
+    /// the barrier costs the slowest node, not the sum). The collected [`WindowDelta`]s merge, in node order,
+    /// through the commutative monoid into one [`GovernanceSnapshot`]
+    /// (the same merge a single daemon applies across its shards —
+    /// cluster == 1-node == batch, byte for byte); the cluster's single
+    /// AO-LDA pass runs over the merged window documents; and each
+    /// alive node's WAL is sealed at this sequence number. Dead nodes
+    /// contribute nothing this window — their shards are listed in the
+    /// snapshot's `degraded` (flat `node * shards + shard` encoding)
+    /// and their journaled alerts stay in flight.
     ///
     /// # Errors
     ///
@@ -494,37 +499,56 @@ impl AlertCluster {
     ///
     /// # Errors
     ///
-    /// WAL checkpoint/boundary failures pass through.
+    /// Every alive node's seal (checkpoint, then boundary) is
+    /// attempted; the first failure is returned after all of them and
+    /// nothing is published. Conservation still holds: a node that
+    /// sealed moved its alerts from `in_flight` to `delivered`, a node
+    /// that failed keeps them in flight (replay reads its unsealed
+    /// segment as tail).
     pub fn close_window_labeled(
         &mut self,
         labels: Vec<QoaLabel>,
     ) -> io::Result<GovernanceSnapshot> {
+        let _close_span = self.metrics.close_micros.time();
         let seq = self.seq;
         self.seq += 1;
         let shards = self.config.node.shards;
 
-        let mut deltas = Vec::with_capacity(self.slots.len());
+        let barrier_span = self.metrics.node_barrier_micros.time();
         let mut degraded = Vec::new();
-        let mut closed_nodes = Vec::with_capacity(self.slots.len());
-        for (node, slot) in self.slots.iter_mut().enumerate() {
-            let Some(handle) = &slot.handle else {
-                degraded.extend((0..shards).map(|s| node * shards + s));
-                continue;
-            };
-            let closed = handle
-                .flush_window()
+        let mut pending = Vec::with_capacity(self.slots.len());
+        for (node, slot) in self.slots.iter().enumerate() {
+            match &slot.handle {
+                Some(handle) => pending.push((
+                    node,
+                    handle
+                        .begin_close(Vec::new())
+                        .expect("node coordinator alive while handle held"),
+                )),
+                None => degraded.extend((0..shards).map(|s| node * shards + s)),
+            }
+        }
+        let mut deltas = Vec::with_capacity(pending.len());
+        let mut closed_nodes = Vec::with_capacity(pending.len());
+        for (node, close) in pending {
+            let closed = close
+                .wait()
                 .expect("node coordinator alive while handle held");
             degraded.extend(closed.snapshot.degraded.iter().map(|s| node * shards + s));
             deltas.push(closed.delta);
 
             // Surface node-internal overflow shedding since the last
-            // close; everything else pending was just delivered.
-            let node_dropped = handle.counters().dropped;
+            // close; the rest of the node's pending alerts are delivered
+            // once its log seals below.
+            let slot = &mut self.slots[node];
+            let node_dropped = slot.handle.as_ref().map_or(0, |h| h.counters().dropped);
             let shed = node_dropped.saturating_sub(slot.last_dropped);
             slot.last_dropped = node_dropped;
+            slot.pending = slot.pending.saturating_sub(shed);
             self.metrics.dropped.add(shed);
             closed_nodes.push(node);
         }
+        drop(barrier_span);
         degraded.sort_unstable();
 
         let merged = WindowDelta::merge_all(&deltas);
@@ -535,6 +559,7 @@ impl AlertCluster {
         if let Some(detector) = self.emerging.as_mut() {
             snapshot.emerging = Some(detector.observe_docs(&merged.emerging_docs));
         }
+        let mut checkpoint = None;
         if let Some(model) = self.qoa.as_mut() {
             let report = {
                 let _span = self.metrics.qoa.update_timer();
@@ -542,27 +567,38 @@ impl AlertCluster {
             };
             self.metrics.qoa.record_report(&report);
             let verdicts = model.verdicts();
-            let bytes = model.checkpoint().to_bytes();
             for &node in &closed_nodes {
-                let slot = &self.slots[node];
-                if let Some(handle) = &slot.handle {
+                if let Some(handle) = &self.slots[node].handle {
                     handle.push_qoa_verdicts(&verdicts);
                 }
-                // Journaled before the boundary below, so the sealing
-                // segment carries the model state as of this close.
-                slot.wal.qoa_state(&bytes)?;
             }
+            checkpoint = Some(model.checkpoint().to_bytes());
             snapshot.qoa = Some(report);
         }
 
-        // Seal every alive node's log at this sequence number.
+        // Seal every alive node's log at this sequence number, the
+        // model checkpoint first so the sealing segment carries the
+        // model state as of this close.
+        let seal_span = self.metrics.wal_boundary_micros.time();
+        let mut first_error = None;
         for &node in &closed_nodes {
             let slot = &mut self.slots[node];
-            slot.wal.boundary(seq)?;
-            slot.pending = 0;
+            let sealed = checkpoint
+                .as_ref()
+                .map_or(Ok(()), |bytes| slot.wal.qoa_state(bytes))
+                .and_then(|()| slot.wal.boundary(seq));
+            if let Err(e) = sealed {
+                first_error.get_or_insert(e);
+            } else {
+                self.metrics.delivered.add(slot.pending);
+                slot.pending = 0;
+            }
+        }
+        drop(seal_span);
+        if let Some(e) = first_error {
+            return Err(e);
         }
 
-        self.metrics.delivered.add(snapshot.alert_count as u64);
         self.metrics.windows_closed.inc();
         if !snapshot.degraded.is_empty() {
             self.metrics.degraded_windows.inc();
@@ -605,47 +641,12 @@ impl AlertCluster {
             .add(replayed.recovered_alerts);
         self.metrics.wal_torn_records.add(replayed.torn_records);
 
-        let node_cat = node_catalog(&self.catalog, &self.map, node);
-        let handle = spawn_node(&self.config.node, &node_cat, &self.make_governor)?;
-        Wal::wipe(&self.slots[node].dir)?;
-        let wal = Arc::new(Wal::open_with_format(
-            &self.slots[node].dir,
-            self.config.wal_retain(),
-            self.config.wal_format,
-        )?);
-
-        for (seq, alerts) in &replayed.windows {
-            for alert in alerts {
-                wal.append(alert)?;
-                handle.route(alert.clone());
-            }
-            let _ = handle.flush_window();
-            wal.boundary(*seq)?;
-        }
-        // A rejoining node governs its next close with the
-        // coordinator's current verdicts, exactly like its peers; the
-        // fresh log is re-seeded with the model checkpoint so a
-        // whole-cluster restart right after this rejoin still finds it.
-        if let Some(model) = &self.qoa {
-            handle.push_qoa_verdicts(&model.verdicts());
-            wal.qoa_state(&model.checkpoint().to_bytes())?;
-        }
-        // Shedding during history replay re-routes alerts that were
-        // already accounted at their original close; don't re-count.
-        let slot = &mut self.slots[node];
-        slot.last_dropped = handle.counters().dropped;
-
-        for alert in &replayed.tail {
-            wal.append(alert)?;
-            handle.route(alert.clone());
-        }
         let recovered_tail = replayed.tail.len() as u64;
+        self.restore_node(node, replayed.windows, replayed.tail)?;
+        let slot = &mut self.slots[node];
         let lost = slot.pending.saturating_sub(recovered_tail);
         self.metrics.dropped.add(lost);
         slot.pending = recovered_tail;
-        slot.wal = wal;
-        slot.handle = Some(handle);
-        self.metrics.nodes_alive.add(1);
         Ok(())
     }
 
@@ -803,10 +804,12 @@ impl AlertCluster {
         self.slots[node].wal.depth().pending_records
     }
 
-    /// Respawns `node` from explicit recovered state: re-journals and
+    /// Respawns `node` from explicit recovered state (its own replayed
+    /// log on rejoin, the carved halves on handoff): re-journals and
     /// re-ingests each sealed window at its original sequence
     /// (publishing nothing — the windows were already published), then
-    /// restores `tail` as the in-flight window.
+    /// restores `tail` as the in-flight window. The node stays dead on
+    /// error.
     fn restore_node(
         &mut self,
         node: usize,
@@ -826,15 +829,19 @@ impl AlertCluster {
                 wal.append(alert)?;
                 handle.route(alert.clone());
             }
-            let _ = handle.flush_window();
+            let _ = handle.begin_close(Vec::new()).and_then(PendingClose::wait);
             wal.boundary(*seq)?;
         }
-        // Same protocol as rejoin: current verdicts down, checkpoint
-        // into the fresh log.
+        // A restored node governs its next close with the
+        // coordinator's current verdicts, exactly like its peers; the
+        // fresh log is re-seeded with the model checkpoint so a
+        // whole-cluster restart right after this still finds it.
         if let Some(model) = &self.qoa {
             handle.push_qoa_verdicts(&model.verdicts());
             wal.qoa_state(&model.checkpoint().to_bytes())?;
         }
+        // Shedding during history replay re-routes alerts that were
+        // already accounted at their original close; don't re-count.
         let slot = &mut self.slots[node];
         slot.last_dropped = handle.counters().dropped;
         for alert in &tail {

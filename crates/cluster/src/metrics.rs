@@ -1,5 +1,5 @@
-//! Cluster-level observability: topology, WAL depth, handoff latency,
-//! and the cluster conservation counters, as one `alertops-obs`
+//! Cluster-level observability: topology, WAL depth, close and
+//! handoff latency, and the cluster conservation counters, as one `alertops-obs`
 //! registry rendered in Prometheus text exposition.
 //!
 //! Naming mirrors the daemon's `alertops_ingestd_*` families one level
@@ -56,6 +56,15 @@ pub struct ClusterMetrics {
     pub handoffs: Arc<Counter>,
     /// End-to-end handoff latency (seal, ship, respawn both ends), µs.
     pub handoff_micros: Arc<Histogram>,
+    /// Whole window close (node barrier, merge, AO-LDA, QoA, WAL
+    /// seal), µs.
+    pub close_micros: Arc<Histogram>,
+    /// First node close started to last node's closed window
+    /// collected, µs (the nodes close concurrently).
+    pub node_barrier_micros: Arc<Histogram>,
+    /// Sealing every alive node's WAL (QoA checkpoint plus fsynced
+    /// boundary) at window close, µs.
+    pub wal_boundary_micros: Arc<Histogram>,
     /// The coordinator's online-QoA model update, when the feedback
     /// loop is on — the same `alertops_qoa_*` families a local-mode
     /// governor or standalone daemon records into.
@@ -149,6 +158,21 @@ impl ClusterMetrics {
             handoff_micros: registry.histogram(
                 "alertops_cluster_handoff_micros",
                 "End-to-end range handoff latency in microseconds.",
+                &[],
+            ),
+            close_micros: registry.histogram(
+                "alertops_cluster_close_micros",
+                "Cluster window close latency in microseconds.",
+                &[],
+            ),
+            node_barrier_micros: registry.histogram(
+                "alertops_cluster_node_barrier_micros",
+                "First node close started to last node window collected, in microseconds.",
+                &[],
+            ),
+            wal_boundary_micros: registry.histogram(
+                "alertops_cluster_wal_boundary_micros",
+                "Sealing every alive node's WAL at window close, in microseconds.",
                 &[],
             ),
             qoa: QoaMetrics::register(&registry),

@@ -11,7 +11,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -135,19 +135,24 @@ impl Router {
         }
     }
 
-    /// Closes the window on every shard and returns the close result,
-    /// or `None` if the coordinator is gone (shutdown race). `labels`
-    /// is the window's OCE feedback for the online QoA model (empty
-    /// when the caller has none).
-    fn flush(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
-        let (ack_tx, ack_rx) = mpsc::sync_channel(1);
+    /// Starts closing the window on every shard without waiting for
+    /// it, or `None` if the coordinator is gone (shutdown race).
+    /// `labels` is the window's OCE feedback for the online QoA model
+    /// (empty when the caller has none).
+    fn begin_close(&self, labels: Vec<QoaLabel>) -> Option<PendingClose> {
+        let (ack_tx, ack) = mpsc::sync_channel(1);
         self.coord_tx
             .send(CoordMsg::CloseNow {
                 ack: Some(ack_tx),
                 labels,
             })
             .ok()?;
-        ack_rx.recv().ok()
+        Some(PendingClose(ack))
+    }
+
+    /// Closes the window on every shard and returns the close result.
+    fn flush(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
+        self.begin_close(labels)?.wait()
     }
 
     /// Pushes QoA verdicts down every shard queue — the cluster
@@ -218,6 +223,20 @@ impl Router {
         if let Some(tx) = slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
             let _ = tx.send(());
         }
+    }
+}
+
+/// A window close started by [`IngestdHandle::begin_close`]. Dropping
+/// it without waiting is safe: the close still completes and the
+/// coordinator moves on to the next one.
+#[derive(Debug)]
+pub struct PendingClose(Receiver<ClosedWindow>);
+
+impl PendingClose {
+    /// Blocks until the close is published and returns its result, or
+    /// `None` if the coordinator stopped first (shutdown race).
+    pub fn wait(self) -> Option<ClosedWindow> {
+        self.0.recv().ok()
     }
 }
 
@@ -483,18 +502,18 @@ impl IngestdHandle {
         self.router.flush(labels).map(|closed| closed.snapshot)
     }
 
-    /// Like [`flush`](Self::flush), but returns the full
-    /// [`ClosedWindow`]: the snapshot plus the node-level
-    /// [`alertops_core::WindowDelta`] a cluster coordinator merges
-    /// with this node's peers.
-    pub fn flush_window(&self) -> Option<ClosedWindow> {
-        self.router.flush(Vec::new())
-    }
-
-    /// [`flush_window`](Self::flush_window) with OCE feedback labels
-    /// attached; see [`flush_labeled`](Self::flush_labeled).
-    pub fn flush_window_labeled(&self, labels: Vec<QoaLabel>) -> Option<ClosedWindow> {
-        self.router.flush(labels)
+    /// Starts a [`flush_labeled`](Self::flush_labeled) without waiting
+    /// for it: the close is queued behind everything routed so far,
+    /// and [`PendingClose::wait`] collects the full [`ClosedWindow`] —
+    /// the snapshot plus the node-level [`alertops_core::WindowDelta`]
+    /// a cluster coordinator merges with this node's peers. Starting
+    /// every node's close before waiting on any lets the nodes close
+    /// in parallel. Route nothing to this daemon until the close is
+    /// waited on: such alerts may land on either side of it. `None`
+    /// only during shutdown races.
+    #[must_use]
+    pub fn begin_close(&self, labels: Vec<QoaLabel>) -> Option<PendingClose> {
+        self.router.begin_close(labels)
     }
 
     /// Pushes QoA verdicts down every shard queue, to apply before the

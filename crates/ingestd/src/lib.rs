@@ -72,7 +72,7 @@ pub use codec::{
 pub use config::{IngestdConfig, OverflowPolicy};
 pub use coordinator::ClosedWindow;
 pub use counters::{CounterSnapshot, Counters};
-pub use daemon::{Ingestd, IngestdHandle};
+pub use daemon::{Ingestd, IngestdHandle, PendingClose};
 pub use journal::WindowJournal;
 pub use metrics::{render_exposition, IngestdMetrics};
 pub use shard::{shard_catalog, shard_of};

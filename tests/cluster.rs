@@ -268,8 +268,8 @@ fn mid_window_kill_and_rejoin_is_byte_invisible() {
 }
 
 /// A live range handoff in the middle of a window: the moved range's
-/// sealed history and in-flight alerts travel with it (through the
-/// JSON wire format), ownership changes, and the stream — including
+/// sealed history and in-flight alerts travel with it (as one binary
+/// handoff frame), ownership changes, and the stream — including
 /// the handoff window itself — matches a run that never rebalanced.
 /// Triage is stripped (the partition changed); nothing else may move.
 #[test]
@@ -320,6 +320,17 @@ fn live_range_handoff_neither_drops_nor_double_counts() {
         1,
         "handoff latency must be observed:\n{text}"
     );
+    for family in [
+        "alertops_cluster_close_micros_count",
+        "alertops_cluster_node_barrier_micros_count",
+        "alertops_cluster_wal_boundary_micros_count",
+    ] {
+        assert_eq!(
+            exposition_value(&text, family),
+            windows.len() as u64,
+            "every window close must be observed in {family}:\n{text}"
+        );
+    }
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 
@@ -385,6 +396,48 @@ fn wal_truncation_is_counted_dropped_never_leaked() {
     assert_scrape_conserved(&cluster);
     let text = cluster.render_metrics();
     assert!(exposition_value(&text, "alertops_cluster_wal_torn_records_total") >= 1);
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A WAL failure while sealing one node: the close reports the error
+/// and publishes nothing, every other node still seals, and the
+/// conservation law balances — the sealed nodes' alerts are delivered,
+/// the failed node's stay in flight.
+#[test]
+fn wal_seal_failure_keeps_the_conservation_law() {
+    let (catalog, windows) = windowed_trace(7, 48);
+    let root = wal_root("seal-failure");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cluster = spawn(4, 2, &root, &catalog);
+    for alert in &windows[0] {
+        cluster.route(alert.clone()).expect("route succeeds");
+    }
+    cluster.close_window().expect("window closes");
+    let rest: Vec<&Alert> = windows[1..].iter().flatten().collect();
+    for alert in &rest {
+        cluster.route((*alert).clone()).expect("route succeeds");
+    }
+    let node3_alerts = rest
+        .iter()
+        .filter(|a| cluster.range_map().node_of(a.strategy()) == 3)
+        .count() as u64;
+    assert!(node3_alerts > 0, "the window must reach node 3");
+
+    // The boundary cannot rotate into a fresh segment without the
+    // log directory.
+    std::fs::remove_dir_all(root.join("node-3")).expect("node 3's log removed");
+    let err = cluster.close_window().expect_err("node 3's seal must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+
+    let counters = cluster.counters();
+    assert!(counters.is_conserved(), "{counters:?}");
+    assert_eq!(counters.in_flight, node3_alerts, "{counters:?}");
+    assert_eq!(
+        counters.windows_closed, 1,
+        "a failed close publishes nothing"
+    );
+    assert_scrape_conserved(&cluster);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
