@@ -1,6 +1,7 @@
 //! The alert governor: detect → derive reactions → react → evaluate.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use alertops_detect::{AntiPattern, AntiPatternReport, IncrementalState};
 use alertops_model::{Alert, AlertStrategy, DependencyGraph, Incident, Sop, StrategyId};
@@ -33,11 +34,15 @@ pub struct GovernorConfig {
 ///    findings, the reaction pipeline evaluated, and strategies ranked
 ///    by QoA (React + Detect);
 /// 3. fix the worst strategies and repeat.
+///
+/// The catalog, SOPs and dependency graph are shared behind [`Arc`]s,
+/// so cloning a governor (every shard checkpoint does) copies none of
+/// them.
 #[derive(Debug, Clone)]
 pub struct AlertGovernor {
-    strategies: Vec<AlertStrategy>,
-    sops: HashMap<StrategyId, Sop>,
-    graph: Option<DependencyGraph>,
+    strategies: Arc<[AlertStrategy]>,
+    sops: Arc<HashMap<StrategyId, Sop>>,
+    graph: Option<Arc<DependencyGraph>>,
     config: GovernorConfig,
     metrics: Option<GovernorMetrics>,
     /// The streaming QoA loop's current per-strategy verdicts; empty
@@ -50,8 +55,8 @@ impl AlertGovernor {
     #[must_use]
     pub fn new(strategies: Vec<AlertStrategy>, config: GovernorConfig) -> Self {
         Self {
-            strategies,
-            sops: HashMap::new(),
+            strategies: strategies.into(),
+            sops: Arc::default(),
             graph: None,
             config,
             metrics: None,
@@ -84,8 +89,9 @@ impl AlertGovernor {
     /// Registers SOPs (keyed by their strategy).
     #[must_use]
     pub fn with_sops(mut self, sops: impl IntoIterator<Item = Sop>) -> Self {
+        let map = Arc::make_mut(&mut self.sops);
         for sop in sops {
-            self.sops.insert(sop.strategy(), sop);
+            map.insert(sop.strategy(), sop);
         }
         self
     }
@@ -94,7 +100,7 @@ impl AlertGovernor {
     /// and topology correlation).
     #[must_use]
     pub fn with_dependency_graph(mut self, graph: DependencyGraph) -> Self {
-        self.graph = Some(graph);
+        self.graph = Some(Arc::new(graph));
         self
     }
 
@@ -107,7 +113,7 @@ impl AlertGovernor {
     /// The attached microservice dependency graph, if any.
     #[must_use]
     pub fn dependency_graph(&self) -> Option<&DependencyGraph> {
-        self.graph.as_ref()
+        self.graph.as_deref()
     }
 
     /// The SOP of one strategy, if registered.
@@ -150,8 +156,8 @@ impl AlertGovernor {
     pub fn detect(&self, alerts: &[Alert], incidents: &[Incident]) -> AntiPatternReport {
         let metrics = self.metrics.as_ref().map(|m| &m.detect);
         let mut engine = IncrementalState::default();
-        engine.observe_window(alerts, self.graph.as_ref(), metrics);
-        engine.current_findings(&self.strategies, incidents, self.graph.as_ref(), metrics)
+        engine.observe_window(alerts, self.graph.as_deref(), metrics);
+        engine.current_findings(&self.strategies, incidents, self.graph.as_deref(), metrics)
     }
 
     /// Derives R1 blocking rules from transient/toggling (A4) and
@@ -196,7 +202,7 @@ impl AlertGovernor {
     pub fn react(&self, alerts: &[Alert], blocker: AlertBlocker) -> alertops_react::PipelineReport {
         let mut correlator = AlertCorrelator::new();
         if let Some(graph) = &self.graph {
-            correlator = correlator.with_topology(graph.clone());
+            correlator = correlator.with_topology(Arc::clone(graph));
         }
         let mut pipeline = ReactionPipeline::new()
             .with_blocker(blocker)

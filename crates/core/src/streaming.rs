@@ -12,13 +12,13 @@
 //! out of scope — so per-window cost is O(window), not O(history), while
 //! the emitted deltas stay byte-identical to batch recomputation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use alertops_detect::storm::storms_from_histogram;
 use alertops_detect::{AlertStorm, AntiPattern, IncrementalState, StormConfig, StrategyFinding};
-use alertops_model::{Alert, AlertId, Incident, QoaLabel, RegionId, StrategyId};
+use alertops_model::{Alert, AlertId, AlertStrategy, Incident, QoaLabel, RegionId, StrategyId};
 use alertops_qoa::{
     FeatureExtractor, OnlineQoaModel, QoaCheckpoint, QoaFeedbackConfig, QoaSample, QoaVerdicts,
     QoaWindowReport,
@@ -812,10 +812,15 @@ impl StreamingGovernor {
                 for alert in window {
                     by_strategy.entry(alert.strategy()).or_default().push(alert);
                 }
+                // One id map per window; `rev` keeps the first catalog
+                // entry of an id, as a linear search would.
+                let strategies = self.governor.strategies().iter().rev();
+                let catalog: HashMap<StrategyId, &AlertStrategy> =
+                    strategies.map(|s| (s.id(), s)).collect();
                 let samples: Vec<QoaSample> = by_strategy
                     .iter()
                     .filter_map(|(&id, alerts)| {
-                        let strategy = self.governor.strategies().iter().find(|s| s.id() == id)?;
+                        let strategy = *catalog.get(&id)?;
                         Some(QoaSample {
                             strategy: id,
                             features: extractor.extract(

@@ -39,6 +39,7 @@
 //! evaluation.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use alertops_model::{
     Alert, AlertId, AlertStrategy, Clearance, DependencyGraph, Incident, MicroserviceId, RegionId,
@@ -158,18 +159,23 @@ struct CachedFindings {
 /// the design; see `StreamingGovernor` in `alertops-core` for the
 /// production driver.
 ///
-/// Cloning the state clones the full rolling aggregates — this is what
-/// the ingestion daemon's checkpointing relies on for crash recovery.
+/// Cloning the state is a snapshot — the ingestion daemon checkpoints
+/// with it after every window close — that copies little: the config,
+/// the window digests (immutable once observed), the cached catalog,
+/// and each strategy's aggregates and cached findings sit behind
+/// [`Arc`]s the clone shares. Later calls copy a strategy's entry on
+/// write (`Arc::make_mut`), so each side pays only for the strategies
+/// its windows touch, and neither sees the other's changes.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
-    config: EngineConfig,
+    config: Arc<EngineConfig>,
     /// Digests of the surviving windows, oldest first.
-    windows: VecDeque<WindowDigest>,
+    windows: VecDeque<Arc<WindowDigest>>,
     /// Total alerts across surviving windows (O(1) scope size).
     alerts_in_scope: usize,
-    /// Per-strategy rolling aggregates; entries are removed when a
-    /// strategy's last alert is evicted.
-    per_strategy: BTreeMap<StrategyId, StrategyState>,
+    /// Per-strategy rolling aggregates, copied on write; entries are
+    /// removed when a strategy's last alert is evicted.
+    per_strategy: BTreeMap<StrategyId, Arc<StrategyState>>,
     /// The storm `(region, hour) → count` histogram, incrementally
     /// maintained; zero entries are removed.
     histogram: BTreeMap<(RegionId, u64), usize>,
@@ -178,13 +184,14 @@ pub struct IncrementalState {
     /// Strategies whose aggregates changed since the last evaluation.
     dirty: BTreeSet<StrategyId>,
     /// The catalog seen by the last evaluation (None before the first).
-    catalog: Option<Vec<AlertStrategy>>,
+    catalog: Option<Arc<[AlertStrategy]>>,
     /// The incident list seen by the last evaluation.
     incidents_seen: Option<Vec<Incident>>,
     /// A1 findings for `catalog` (valid while the catalog is unchanged).
     a1_cache: Vec<StrategyFinding>,
-    /// Cached A2–A5 findings per strategy with in-scope alerts.
-    findings_cache: BTreeMap<StrategyId, CachedFindings>,
+    /// Cached A2–A5 findings per strategy with in-scope alerts, copied
+    /// on write.
+    findings_cache: BTreeMap<StrategyId, Arc<CachedFindings>>,
 }
 
 impl PartialEq for IncrementalState {
@@ -212,7 +219,7 @@ impl IncrementalState {
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         Self {
-            config,
+            config: Arc::new(config),
             windows: VecDeque::new(),
             alerts_in_scope: 0,
             per_strategy: BTreeMap::new(),
@@ -305,7 +312,7 @@ impl IncrementalState {
         // Apply the digest to the rolling aggregates.
         self.alerts_in_scope += digest.alert_count;
         for (&strategy, slice) in &digest.per_strategy {
-            let state = self.per_strategy.entry(strategy).or_default();
+            let state = Arc::make_mut(self.per_strategy.entry(strategy).or_default());
             state.total += slice.times.len();
             for &t in &slice.times {
                 multiset_add(&mut state.times, t);
@@ -326,7 +333,7 @@ impl IncrementalState {
                 self.cascade.insert(t, id, ms, self.config.a6.window, graph);
             }
         }
-        self.windows.push_back(digest);
+        self.windows.push_back(Arc::new(digest));
     }
 
     /// Subtracts the oldest window from every aggregate and drops its
@@ -339,8 +346,9 @@ impl IncrementalState {
             return 0;
         };
         self.alerts_in_scope -= digest.alert_count;
-        for (strategy, slice) in digest.per_strategy {
+        for (&strategy, slice) in &digest.per_strategy {
             if let Some(state) = self.per_strategy.get_mut(&strategy) {
+                let state = Arc::make_mut(state);
                 state.total -= slice.times.len();
                 for &t in &slice.times {
                     multiset_sub(&mut state.times, t);
@@ -362,15 +370,15 @@ impl IncrementalState {
             }
             self.dirty.insert(strategy);
         }
-        for ((region, hour), count) in digest.region_hours {
-            if let Some(current) = self.histogram.get_mut(&(region.clone(), hour)) {
+        for (key, count) in &digest.region_hours {
+            if let Some(current) = self.histogram.get_mut(key) {
                 *current -= count;
                 if *current == 0 {
-                    self.histogram.remove(&(region, hour));
+                    self.histogram.remove(key);
                 }
             }
         }
-        for (t, id, _) in digest.cascade {
+        for &(t, id, _) in &digest.cascade {
             self.cascade.remove(t, id);
         }
         digest.alert_count
@@ -547,7 +555,7 @@ impl IncrementalState {
 
         self.dirty.clear();
         if catalog_changed {
-            self.catalog = Some(strategies.to_vec());
+            self.catalog = Some(strategies.into());
         }
         if incidents_changed {
             self.incidents_seen = Some(incidents.to_vec());
@@ -560,7 +568,7 @@ impl IncrementalState {
     /// (keeps the cache congruent with `per_strategy`).
     fn store_finding(&mut self, id: StrategyId, write: impl FnOnce(&mut CachedFindings)) {
         if self.per_strategy.contains_key(&id) {
-            write(self.findings_cache.entry(id).or_default());
+            write(Arc::make_mut(self.findings_cache.entry(id).or_default()));
         } else {
             self.findings_cache.remove(&id);
         }
@@ -574,7 +582,7 @@ impl IncrementalState {
         pattern: AntiPattern,
         findings: &mut BTreeMap<AntiPattern, Vec<StrategyFinding>>,
         metrics: Option<&DetectMetrics>,
-        select: impl Fn(&CachedFindings) -> Option<StrategyFinding>,
+        select: impl Fn(&Arc<CachedFindings>) -> Option<StrategyFinding>,
     ) {
         let mut found: Vec<StrategyFinding> =
             self.findings_cache.values().filter_map(select).collect();

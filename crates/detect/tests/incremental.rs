@@ -186,6 +186,46 @@ proptest! {
         }
     }
 
+    /// A clone is a snapshot: observing and evicting on the original
+    /// afterwards (which copies shared aggregates on write) must leave
+    /// the clone equal to a fresh rebuild from the clone's own windows,
+    /// in state and in findings.
+    #[test]
+    fn clone_is_unaffected_by_later_original_mutations(
+        windows in arb_windows(120),
+        scope in 1usize..5,
+    ) {
+        let graph = graph();
+        let strategies = catalog();
+        let incidents = incidents();
+        for cut in 0..=windows.len() {
+            let mut original = IncrementalState::default();
+            for window in &windows[..cut] {
+                original.observe_window(window, Some(&graph), None);
+                while original.window_count() > scope {
+                    original.evict_window(None);
+                }
+            }
+            original.current_findings(&strategies, &incidents, Some(&graph), None);
+            let mut clone = original.clone();
+            for window in &windows[cut..] {
+                original.observe_window(window, Some(&graph), None);
+                original.evict_window(None);
+                original.current_findings(&strategies, &incidents, Some(&graph), None);
+            }
+            while original.window_count() > 0 {
+                original.evict_window(None);
+            }
+            let mut rebuilt = fresh(&windows[cut.saturating_sub(scope)..cut], &graph);
+            prop_assert_eq!(&clone, &rebuilt, "clone taken at window {} changed", cut);
+            prop_assert_eq!(
+                clone.current_findings(&strategies, &incidents, Some(&graph), None),
+                rebuilt.current_findings(&strategies, &incidents, Some(&graph), None),
+                "clone taken at window {} reports different findings", cut
+            );
+        }
+    }
+
     /// Evicting everything returns the engine to its pristine state.
     #[test]
     fn full_eviction_is_pristine(windows in arb_windows(80)) {

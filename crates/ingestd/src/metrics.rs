@@ -50,8 +50,12 @@ pub struct IngestdMetrics {
     /// over the merged samples and flush-carried labels. Same families
     /// a local-mode governor records into.
     qoa: QoaMetrics,
-    /// Per-shard window close (sort + detection + checkpoint).
+    /// Per-shard window close (sort + detection + checkpoint, and the
+    /// free of the superseded checkpoint after the delta is sent).
     shard_close_micros: Vec<Arc<Histogram>>,
+    /// Per-shard supervisor checkpoint, the part of the close that
+    /// snapshots the governor.
+    shard_checkpoint_micros: Vec<Arc<Histogram>>,
     /// Process resident set size, sampled at each window close (0 on
     /// platforms without a procfs).
     rss_bytes: Arc<Gauge>,
@@ -99,6 +103,15 @@ impl IngestdMetrics {
                 )
             })
             .collect();
+        let shard_checkpoint_micros = (0..shards)
+            .map(|shard| {
+                registry.histogram(
+                    "alertops_shard_checkpoint_micros",
+                    "One shard's supervisor checkpoint: the governor snapshot taken at close.",
+                    &[("shard", &shard.to_string())],
+                )
+            })
+            .collect();
         let rss_bytes = alertops_obs::process::rss_gauge(&registry);
         Self {
             registry,
@@ -110,6 +123,7 @@ impl IngestdMetrics {
             emerging,
             qoa,
             shard_close_micros,
+            shard_checkpoint_micros,
             rss_bytes,
         }
     }
@@ -141,6 +155,11 @@ impl IngestdMetrics {
     /// The close-latency histogram of one shard.
     pub(crate) fn shard_close(&self, shard: usize) -> &Histogram {
         &self.shard_close_micros[shard]
+    }
+
+    /// The checkpoint-latency histogram of one shard.
+    pub(crate) fn shard_checkpoint(&self, shard: usize) -> &Histogram {
+        &self.shard_checkpoint_micros[shard]
     }
 }
 
@@ -294,10 +313,12 @@ mod tests {
         metrics.frames_decoded.inc();
         metrics.window_close_micros.observe(250);
         metrics.shard_close(0).observe(200);
+        metrics.shard_checkpoint(0).observe(40);
         let text = render_exposition(&counters, Some(&metrics));
         assert!(text.contains("alertops_frames_decoded_total 1"));
         assert!(text.contains("alertops_window_close_micros_count 1"));
         assert!(text.contains("alertops_shard_close_micros_bucket{shard=\"0\""));
+        assert!(text.contains("alertops_shard_checkpoint_micros_count{shard=\"0\"} 1"));
         alertops_obs::lint_exposition(&text).unwrap();
     }
 }

@@ -85,16 +85,20 @@ cargo test -q --test cluster
 cargo test -q -p alertops-cluster
 cargo test -q --test determinism merge_monoid
 
-# Benchmark correctness smoke on the held-out seed: a short cluster-wal
-# run whose oracle replays every published window through a 1-shard
-# daemon. The last stdout line is the result document.
-echo "==> cluster: govbench cluster-wal smoke (held-out seed)"
-result=$(cargo run --release -q --offline --manifest-path govbench/Cargo.toml -- \
-    --workload cluster-wal --seed 7919 --seconds 2 --trace 0 | tail -n 1)
-if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0'* ]]; then
-    echo "govbench cluster-wal smoke failed: $result" >&2
-    exit 1
-fi
+# Benchmark correctness smoke on the held-out seed: a short run of each
+# workload whose oracle replays every published window through a
+# 1-shard daemon. soak-binary and study-loop exercise the shard close
+# path (detection, checkpoint), cluster-wal the cluster close and WAL.
+# The last stdout line is the result document.
+for workload in soak-binary study-loop cluster-wal; do
+    echo "==> govbench $workload smoke (held-out seed)"
+    result=$(cargo run --release -q --offline --manifest-path govbench/Cargo.toml -- \
+        --workload "$workload" --seed 7919 --seconds 2 --trace 0 | tail -n 1)
+    if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0'* ]]; then
+        echo "govbench $workload smoke failed: $result" >&2
+        exit 1
+    fi
+done
 
 # Soak gate: a short deterministic slice of the million-alert soak —
 # seeded production-shaped traffic (diurnal curve, deploy waves, gray

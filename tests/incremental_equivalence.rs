@@ -290,18 +290,24 @@ fn n_shard_merges_are_byte_identical_to_the_batch_oracle() {
 
 /// Checkpoint rehydration: cloning a streaming governor at any window
 /// boundary and continuing from the clone yields byte-identical deltas
-/// — the property the ingestd worker's crash recovery relies on.
+/// — the property the ingestd worker's crash recovery relies on. The
+/// clone shares state with the live governor copy-on-write, so it is
+/// also resumed after the live governor ran on past it, evicting every
+/// window the two shared; it must match a governor never cloned.
 #[test]
 fn checkpoint_clone_resumes_byte_identically() {
     let (strategies, graph, windows) = windowed_trace(7, 40);
-    let governor =
-        AlertGovernor::new(strategies, GovernorConfig::default()).with_dependency_graph(graph);
     let config = StreamingConfig {
         history_windows: 4,
         storm: StormConfig::default(),
         ..StreamingConfig::default()
     };
-    let mut live = StreamingGovernor::new(governor, config);
+    let fresh = || {
+        let governor = AlertGovernor::new(strategies.clone(), GovernorConfig::default())
+            .with_dependency_graph(graph.clone());
+        StreamingGovernor::new(governor, config.clone())
+    };
+    let mut live = fresh();
     for (index, (window, incidents)) in windows.iter().enumerate() {
         let mut checkpoint = live.clone();
         let from_live = live.ingest(window, incidents);
@@ -311,6 +317,25 @@ fn checkpoint_clone_resumes_byte_identically() {
             json_delta(&from_checkpoint),
             "checkpoint diverged when resumed at window {index}"
         );
+    }
+
+    for k in [2, 8] {
+        let (mut live, mut never_cloned) = (fresh(), fresh());
+        for (window, incidents) in &windows[..k] {
+            live.ingest(window, incidents);
+            never_cloned.ingest(window, incidents);
+        }
+        let mut checkpoint = live.clone();
+        for (window, incidents) in &windows[k..] {
+            live.ingest(window, incidents);
+        }
+        for (index, (window, incidents)) in windows.iter().enumerate().skip(k) {
+            assert_eq!(
+                json_delta(&checkpoint.ingest(window, incidents)),
+                json_delta(&never_cloned.ingest(window, incidents)),
+                "checkpoint from window {k} diverged at window {index} after the live run"
+            );
+        }
     }
 }
 

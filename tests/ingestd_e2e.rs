@@ -272,6 +272,7 @@ fn metrics_exposition_covers_every_instrumented_stage() {
         "alertops_barrier_wait_micros",
         "alertops_merge_micros",
         "alertops_shard_close_micros",
+        "alertops_shard_checkpoint_micros",
         // Detection pipeline.
         "alertops_detector_micros",
         "alertops_detector_findings_total",
@@ -299,6 +300,10 @@ fn metrics_exposition_covers_every_instrumented_stage() {
     assert!(text.contains("alertops_windows_closed_total 1"));
     assert!(
         text.contains("alertops_window_close_micros_count 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains(r#"alertops_shard_checkpoint_micros_count{shard="0"} 1"#),
         "{text}"
     );
     assert!(
